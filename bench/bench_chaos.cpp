@@ -21,8 +21,8 @@
 //      (pcache hits and rehydrated results both nonzero — post-restart
 //      answers came off the segment, not from recomputation).
 //
-//   3. Overload flood — a small pool (max_inflight=2) is pinned by
-//      delay-mode decode failpoints while no-retry clients flood it.
+//   3. Overload flood — two handler slots (max_inflight=2) are pinned by
+//      delay-mode decode failpoints while no-retry clients flood them.
 //      Gates: structured `overloaded` rejects observed, zero raw
 //      transport failures (shedding is always a frame, never a slammed
 //      connection), daemon healthy afterwards. Then an EMFILE burst on
@@ -570,7 +570,7 @@ bool run_flood(const std::vector<std::vector<std::uint8_t>>& templates,
   server.start();
   const std::string sock = server.socket_path();
 
-  // Pin the pool: every decode sleeps 120 ms, so two in-flight cold
+  // Pin both slots: every decode sleeps 120 ms, so two in-flight cold
   // identifies occupy the whole inflight budget and the flood must be
   // answered with structured `overloaded` frames.
   std::string error;

@@ -16,8 +16,9 @@
 //      is pure protocol, so the speedup isolates exactly what
 //      pipelining removes — a round trip's wakeups and syscalls per
 //      request). The hot-identify speedup is reported alongside but
-//      not gated: its handler burns real CPU, so on a single-core
-//      machine both modes saturate the core at the same req/s.
+//      not gated: one connection's requests execute one at a time, so
+//      both modes pay the same handler CPU per request, on any number
+//      of cores.
 //
 //   C. Warm restart — a re-exec'ed child daemon (`bench_service
 //      --serve`) with a persistent cache segment is warmed, measured,
@@ -213,9 +214,9 @@ bool run_pipeline_mode(service::Client& client, const std::string& sock,
 /// Two workloads, gated differently. `ping` is pure protocol: the
 /// speedup measures exactly what pipelining removes (one round trip's
 /// worth of wakeups and syscalls per request) and is the >= 1.5x gate.
-/// Hot identify is reported alongside: its handler costs real CPU, so
-/// on a single-core machine both modes saturate the core and the
-/// speedup legitimately flattens toward 1x (it reappears with cores).
+/// Hot identify is reported alongside: its handler costs real CPU and
+/// one connection's requests execute one at a time, so the speedup
+/// legitimately stays near 1x however many cores there are.
 bool run_pipeline_phase(const std::string& sock,
                         const std::vector<std::string>& hot, double seconds,
                         PipelineResult& out) {

@@ -10,13 +10,18 @@
 // buffered.
 //
 // Pipelining contract: a client may send multiple request frames
-// without waiting for responses; the server executes them concurrently
-// (bounded per connection) but writes response frames strictly in
-// request order — frames carry no correlation ids, order IS the
-// correlation. A stop-and-wait client is just the depth-1 special
-// case. Responses never interleave mid-frame, and a connection-fatal
-// condition (oversized frame) is answered only after every response
-// owed for earlier frames has been written.
+// without waiting for responses. The server executes one connection's
+// requests one at a time, in the order sent, so each request sees the
+// effects of every earlier request on its connection (an identify by
+// `key` right behind the upload that creates the key finds it), and
+// writes response frames in that same order — frames carry no
+// correlation ids, order IS the correlation. A stop-and-wait client is
+// just the depth-1 special case. Frames sent after a `shutdown` are not
+// executed. Responses never interleave mid-frame, and a
+// connection-fatal condition (oversized frame) is answered only after
+// every response owed for earlier frames has been written. A client
+// whose pipelined answers may exceed a socket buffer must read them
+// while it is still sending.
 //
 // Request object (all strings; unknown keys are ignored):
 //   op      "ping" | "identify" | "compare" | "disasm" | "stats" |

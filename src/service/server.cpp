@@ -1,6 +1,6 @@
 #include "service/server.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -18,6 +18,7 @@
 #include "obs/window.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fsr::service {
 
@@ -28,7 +29,7 @@ struct ServerMetrics {
   obs::Counter& frames_rejected = obs::counter("svc.frames_rejected");
   obs::Gauge& queue_depth = obs::gauge("svc.queue_depth");
   obs::Gauge& workers = obs::gauge("svc.workers");
-  // Ingress latency windows: submit -> response ready, queue wait
+  // Ingress latency windows: frame read -> response ready, slot wait
   // included — the figure `stats` reports and fsrtop renders. Always
   // recorded (a handful of relaxed adds per request).
   obs::WindowHistogram& win_request = obs::window("svc.window.request_ns");
@@ -46,9 +47,10 @@ ServerMetrics& server_metrics() {
   return m;
 }
 
-/// Live pool submissions, mirrored into the svc.queue_depth gauge so
-/// `stats` can report instantaneous and high-water request pressure.
-std::atomic<std::int64_t> g_inflight{0};
+/// A connection's buffered responses are flushed once they reach this
+/// size even while more frames are waiting, so a long pipeline streams
+/// its answers instead of holding them all.
+constexpr std::size_t kFlushBytes = 256u << 10;
 
 constexpr std::string_view kOverloadedFrame =
     "{\"ok\":false,\"code\":\"overloaded\","
@@ -67,15 +69,16 @@ bool socket_is_live(const sockaddr_un& addr) {
 }  // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)), service_(opts_.service) {}
+    : opts_(std::move(opts)),
+      service_(opts_.service),
+      workers_(std::min(opts_.threads == 0 ? util::ThreadPool::default_workers()
+                                           : opts_.threads,
+                        util::ThreadPool::kMaxWorkers)),
+      slots_(static_cast<std::ptrdiff_t>(workers_)) {}
 
 Server::~Server() {
   stop();
   wait();
-}
-
-std::size_t Server::workers() const {
-  return pool_ != nullptr ? pool_->worker_count() : 0;
 }
 
 void Server::start() {
@@ -134,8 +137,7 @@ void Server::start_locked() {
   pipe_wr_ = UniqueFd(pipe_fds[1]);
 
   listen_fd_ = std::move(fd);
-  pool_ = std::make_unique<util::ThreadPool>(opts_.threads);
-  server_metrics().workers.set(static_cast<std::int64_t>(pool_->worker_count()));
+  server_metrics().workers.set(static_cast<std::int64_t>(workers_));
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -146,8 +148,8 @@ void Server::stop() {
     stopping_ = true;
   }
   // Wake the accept loop; it owns the teardown sequence. write() to the
-  // nonblocking pipe is safe from any context (including the request
-  // path executing a `shutdown` op on a pool worker).
+  // nonblocking pipe is safe from any context (including a connection
+  // thread that just answered a `shutdown` op).
   const char byte = 0;
   [[maybe_unused]] const ssize_t n = ::write(pipe_wr_.get(), &byte, 1);
 }
@@ -272,39 +274,12 @@ void Server::accept_loop() {
     if (c->thread.joinable()) c->thread.join();
   conns.clear();
 
-  pool_.reset();  // drains queued requests
   listen_fd_.reset();
   ::unlink(opts_.socket_path.c_str());
 
   std::lock_guard<std::mutex> lock(state_mutex_);
   stopped_ = true;
   stopped_cv_.notify_all();
-}
-
-// Run one frame on the pool; the finished response lands in the
-// connection's reorder map and the completion pipe wakes the reader.
-// The reader guarantees `conn` outlives every outstanding submission
-// (it drains its inflight count before exiting on any path), so the
-// raw pointer capture is safe.
-void Server::submit_on_pool(Connection* conn, std::uint64_t seq, std::string payload) {
-  ServerMetrics& m = server_metrics();
-  m.queue_depth.set(g_inflight.fetch_add(1, std::memory_order_relaxed) + 1);
-  const std::uint64_t submit_ns = obs::now_ns();
-  pool_->submit([this, conn, seq, submit_ns, payload = std::move(payload)] {
-    Service::Outcome out = service_.handle(payload);
-    ServerMetrics& sm = server_metrics();
-    sm.queue_depth.set(g_inflight.fetch_sub(1, std::memory_order_relaxed) - 1);
-    const std::uint64_t latency = obs::now_ns() - submit_ns;
-    sm.win_request.record(latency);
-    if (out.analysis)
-      (out.cache_hit ? sm.win_hit : sm.win_miss).record(latency);
-    {
-      std::lock_guard<std::mutex> lock(conn->resp_mutex);
-      conn->ready.emplace(seq, Ready{std::move(out.json), out.shutdown});
-    }
-    const char byte = 0;
-    [[maybe_unused]] const ssize_t n = ::write(conn->comp_wr.get(), &byte, 1);
-  });
 }
 
 // Drop entries whose reader has finished (client hung up). Keeps the
@@ -324,7 +299,7 @@ void Server::reap_finished_locked() {
   connections_.swap(live);
 }
 
-// Free the fd of the longest-idle connection (no request on the pool).
+// Free the fd of the longest-idle connection (no request in progress).
 // Called under conn_mutex_ when accept(2) hits fd exhaustion: the shed
 // reader sees its socket shut down and exits; the entry is reaped on
 // the next pass. Busy connections are never shed — their response is
@@ -349,164 +324,89 @@ void Server::accept_pause_ms(int ms) {
   ::poll(&pfd, 1, ms);
 }
 
+Service::Outcome Server::execute(std::string_view request) {
+  ServerMetrics& m = server_metrics();
+  const std::int64_t depth = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (opts_.max_inflight > 0 && depth > static_cast<std::int64_t>(opts_.max_inflight)) {
+    // Shed rather than queue: the client gets a prompt, structured
+    // answer it can back off on, and the connection stays usable.
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    m.overloaded.add();
+    if (obs::log_enabled())
+      obs::log_event(obs::Severity::kWarn, "svc.overloaded",
+                     obs::LogFields().str("reason", "inflight"));
+    Service::Outcome out;
+    out.json = kOverloadedFrame;
+    return out;
+  }
+  m.queue_depth.set(depth);
+  const std::uint64_t start_ns = obs::now_ns();
+  slots_.acquire();
+  Service::Outcome out = service_.handle(request);
+  slots_.release();
+  m.queue_depth.set(inflight_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  const std::uint64_t latency = obs::now_ns() - start_ns;
+  m.win_request.record(latency);
+  if (out.analysis) (out.cache_hit ? m.win_hit : m.win_miss).record(latency);
+  return out;
+}
+
 void Server::connection_loop(Connection* conn) {
   const int fd = conn->fd.get();
-
-  // The completion pipe, created here so a failed pipe2 only costs this
-  // connection. Nonblocking on both ends: workers drop the wakeup byte
-  // when the pipe is full (a pending byte is already there to wake us)
-  // and the reader drains it without blocking.
-  {
-    int comp[2];
-    if (::pipe2(comp, O_CLOEXEC | O_NONBLOCK) != 0) {
-      if (obs::log_enabled())
-        obs::log_event(obs::Severity::kError, "svc.pipe_failed");
-      ::shutdown(fd, SHUT_RDWR);
-      conn->done.store(true, std::memory_order_release);
-      return;
-    }
-    conn->comp_rd = UniqueFd(comp[0]);
-    conn->comp_wr = UniqueFd(comp[1]);
-  }
-
   std::string payload;
-  std::uint64_t next_seq = 0;   // assigned to frames as they arrive
-  std::uint64_t flush_seq = 0;  // next response owed to the socket
-  std::size_t inflight = 0;     // submitted (or queued-ready) - flushed
-  bool reading = true;          // false after EOF/error/oversized
-  bool oversized = false;       // answer once after draining, then drop
-  bool discard = false;         // write failed: drain without writing
+  std::string outbuf;  // answers not yet sent, in request order
+  bool write_ok = true;
+  bool oversized = false;
   bool shutdown_requested = false;
 
-  // Deposit a response locally (overload rejects), keeping seq order
-  // with pool-executed neighbors.
-  auto reject = [&](std::string_view json) {
-    std::lock_guard<std::mutex> lock(conn->resp_mutex);
-    conn->ready.emplace(next_seq, Ready{std::string(json), false});
-  };
-
-  // Write every consecutive finished response. Frames are batched into
-  // one buffer and flushed with a single send — a pipelining client's
-  // burst of responses costs one syscall, not two per frame. On a
-  // failed write the connection switches to discard mode: it stops the
-  // socket but keeps draining, because pool workers still hold `conn`.
-  std::string outbuf;
-  auto flush_ready = [&] {
+  // A failed append or write drops the connection: nothing after it
+  // could be answered in order.
+  auto flush = [&] {
+    write_ok = write_bytes(fd, outbuf);
     outbuf.clear();
-    for (;;) {
-      Ready r;
-      {
-        std::lock_guard<std::mutex> lock(conn->resp_mutex);
-        auto it = conn->ready.find(flush_seq);
-        if (it == conn->ready.end()) break;
-        r = std::move(it->second);
-        conn->ready.erase(it);
-      }
-      ++flush_seq;
-      --inflight;
-      if (!discard && !append_frame(outbuf, r.json)) {
-        discard = true;
-        reading = false;
-      }
-      if (r.shutdown) {
-        // The goodbye is buffered (ordered after everything owed);
-        // stop reading and take the daemon down once stragglers drain.
-        reading = false;
-        shutdown_requested = true;
-      }
-    }
-    conn->busy.store(inflight > 0, std::memory_order_release);
-    if (!discard && !outbuf.empty() && !write_bytes(fd, outbuf)) {
-      discard = true;
-      reading = false;
-    }
+    conn->busy.store(false, std::memory_order_release);
+    return write_ok;
   };
 
-  while (true) {
-    flush_ready();
-    if (shutdown_requested) {
-      // Begin the daemon-wide stop now, but keep draining: pool
-      // workers may still hold `conn` for frames pipelined behind the
-      // shutdown op.
-      stop();
-      shutdown_requested = false;
+  while (!shutdown_requested) {
+    const FrameStatus st = read_frame(fd, payload);
+    if (st == FrameStatus::kOversized) {
+      // The announced length is beyond the cap; the stream cannot be
+      // resynchronized, so answer once (after everything owed) and drop.
+      server_metrics().frames_rejected.add();
+      if (obs::log_enabled())
+        obs::log_event(obs::Severity::kWarn, "svc.frame_rejected",
+                       obs::LogFields().str("reason", "oversized"));
+      oversized = true;
+      break;
     }
-    if (!reading && inflight == 0) break;
+    if (st != FrameStatus::kOk) break;  // EOF, truncation or read error
+    conn->busy.store(true, std::memory_order_release);
 
-    const bool want_read =
-        reading &&
-        (opts_.max_pipeline == 0 || inflight < opts_.max_pipeline);
-    pollfd fds[2] = {{conn->comp_rd.get(), POLLIN, 0}, {fd, POLLIN, 0}};
-    const int rc = ::poll(fds, want_read ? 2 : 1, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      reading = false;
-      discard = true;
-      continue;
+    Service::Outcome out = execute(payload);
+    // Frames behind a `shutdown` are never executed.
+    shutdown_requested = out.shutdown;
+    if (!append_frame(outbuf, out.json)) {
+      write_ok = false;
+      break;
     }
-    if ((fds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(conn->comp_rd.get(), buf, sizeof buf) > 0) {
-      }
-    }
-    if (!want_read || (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-      continue;
-
-    // Data (or EOF) on the socket: pull frames in a burst. After each
-    // frame a zero-timeout poll asks whether more bytes are already
-    // waiting — a pipelining client's whole batch costs one blocking
-    // poll, not one per frame. read_frame itself still blocks until a
-    // started frame completes; a mid-frame stall delays the flush of
-    // later responses, which is the same head-of-line behavior the
-    // serial server had, bounded by the peer's own send.
-    while (true) {
-      const FrameStatus st = read_frame(fd, payload);
-      if (st == FrameStatus::kClosed || st == FrameStatus::kTruncated ||
-          st == FrameStatus::kError) {
-        reading = false;
-        break;  // drain what is still in flight
-      }
-      if (st == FrameStatus::kOversized) {
-        // The announced length is beyond the cap; the stream cannot be
-        // resynchronized, so answer once (after the drain) and drop.
-        server_metrics().frames_rejected.add();
-        if (obs::log_enabled())
-          obs::log_event(obs::Severity::kWarn, "svc.frame_rejected",
-                         obs::LogFields().str("reason", "oversized"));
-        reading = false;
-        oversized = true;
-        break;
-      }
-      if (opts_.max_inflight > 0 &&
-          g_inflight.load(std::memory_order_relaxed) >=
-              static_cast<std::int64_t>(opts_.max_inflight)) {
-        // Shed rather than queue: the client gets a prompt, structured
-        // answer it can back off on, and the connection stays usable.
-        // The reject takes this frame's seq so interleaved responses
-        // stay ordered.
-        server_metrics().overloaded.add();
-        if (obs::log_enabled())
-          obs::log_event(obs::Severity::kWarn, "svc.overloaded",
-                         obs::LogFields().str("reason", "inflight"));
-        reject(kOverloadedFrame);
-      } else {
-        submit_on_pool(conn, next_seq, std::move(payload));
-      }
-      ++next_seq;
-      ++inflight;
-      payload.clear();
-      conn->busy.store(true, std::memory_order_release);
-      if (opts_.max_pipeline != 0 && inflight >= opts_.max_pipeline) break;
-      pollfd probe{fd, POLLIN, 0};
-      if (::poll(&probe, 1, 0) <= 0 ||
-          (probe.revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-        break;  // nothing buffered — go back to the blocking poll
-    }
+    // Hold the answer while the client's burst is still arriving: the
+    // whole batch then costs one send. read_frame blocks until a
+    // started frame completes, so a client that stalls mid-frame also
+    // delays the answers owed before it, bounded by its own send.
+    pollfd probe{fd, POLLIN, 0};
+    const bool more = ::poll(&probe, 1, 0) > 0 &&
+                      (probe.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+    if ((shutdown_requested || !more || outbuf.size() >= kFlushBytes) && !flush())
+      break;
   }
 
-  if (oversized && !discard)
+  if (write_ok && !outbuf.empty()) flush();
+  if (oversized && write_ok)
     write_frame(fd, "{\"ok\":false,\"code\":\"oversized\","
                     "\"error\":\"frame exceeds the 64 MiB limit\"}");
+  // The goodbye is on the wire; take the daemon down.
+  if (shutdown_requested) stop();
   // Half-open sockets would leave the peer blocked on a response that
   // will never come; the fd itself is closed when the entry is reaped.
   ::shutdown(fd, SHUT_RDWR);

@@ -1,63 +1,59 @@
 // Unix-domain socket front end for the Service.
 //
 // Threading model: one accept thread polls the listening socket plus a
-// self-pipe; each accepted connection gets a lightweight reader thread
-// that parses frames and *executes* every request on the shared
-// work-stealing ThreadPool — connection threads only block on I/O, so
-// a slow client never occupies a pool worker and request-level
-// parallelism is bounded by the pool, not by the connection count.
+// self-pipe; each accepted connection gets its own reader thread, which
+// executes that connection's requests itself, one at a time, in arrival
+// order. A request runs only while its reader holds one of `threads`
+// daemon-wide handler slots (a counting semaphore), so `threads` caps
+// concurrent handlers however many connections are open, and a reader
+// blocked on socket I/O holds no slot.
 //
-// Connections are pipelined: the reader keeps up to max_pipeline
-// frames in flight on the pool per connection and writes responses
-// strictly in request order (the protocol has no request ids, so order
-// IS the correlation). All socket writes happen on the reader thread —
-// pool workers deposit finished responses into a per-connection
-// reorder map and wake the reader through a completion pipe. A client
-// that sends one frame and waits sees exactly the old serial behavior;
-// one that streams frames overlaps its round trips.
+// Connections may pipeline: the reader pulls frames off the socket in
+// bursts and appends each response to one write buffer, flushed in a
+// single send once no further frame is already waiting (or the buffer
+// has grown large). Responses therefore leave in request order — the
+// protocol has no request ids, so order IS the correlation — and each
+// request sees the effects of every earlier request on its connection.
+// A client that sends one frame and waits sees plain serial behavior.
 //
 // Shutdown is cooperative and signal-safe: SIGINT/SIGTERM handlers
 // (obs::set_signal_notify_fd wired to signal_notify_fd()) write one
 // byte to the self-pipe; the accept loop wakes, stops accepting,
-// shuts down every live connection, joins the readers, drains the
-// pool, and unlinks the socket. A `shutdown` protocol request takes
-// the same path.
+// shuts down every live connection, joins the readers (each finishes
+// the request it is executing), and unlinks the socket. A `shutdown`
+// protocol request takes the same path once its answer, and every
+// answer owed before it, has been written.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/proto.hpp"
 #include "service/service.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fsr::service {
 
 struct ServerOptions {
   std::string socket_path;  // required
-  std::size_t threads = 0;  // pool workers; 0 = REPRO_THREADS / hardware
+  std::size_t threads = 0;  // concurrent handlers; 0 = REPRO_THREADS / hardware
   ServiceOptions service{};
   // Overload shedding: past these limits the server answers with a
   // structured `overloaded` frame instead of queueing without bound.
   // 0 disables the respective limit.
   std::size_t max_connections = 256;  // concurrent reader threads
-  std::size_t max_inflight = 128;     // requests submitted to the pool
+  std::size_t max_inflight = 128;     // requests waiting for or holding a slot
   // Slow-client write budget (SO_SNDTIMEO): a peer that stops draining
   // its socket for this long gets its connection dropped instead of
   // parking a reader thread forever. 0 disables.
   double write_budget_seconds = 30.0;
-  // Frames one connection may have in flight on the pool before its
-  // reader stops pulling new ones off the socket (flow control, and a
-  // bound on per-connection response buffering). 0 = unlimited.
-  std::size_t max_pipeline = 32;
 };
 
 class Server {
@@ -85,10 +81,16 @@ public:
 
   [[nodiscard]] const std::string& socket_path() const { return opts_.socket_path; }
   [[nodiscard]] Service& service() { return service_; }
-  [[nodiscard]] std::size_t workers() const;
+  /// Handler slots: how many requests may execute at once.
+  [[nodiscard]] std::size_t workers() const { return workers_; }
 
 private:
-  struct Connection;
+  struct Connection {
+    UniqueFd fd;
+    std::thread thread;
+    std::atomic<bool> done{false};
+    std::atomic<bool> busy{false};  // a request read but not yet answered
+  };
 
   void start_locked();
   void accept_loop();
@@ -96,35 +98,19 @@ private:
   void shed_oldest_idle_locked();
   void accept_pause_ms(int ms);
   void connection_loop(Connection* conn);
-  void submit_on_pool(Connection* conn, std::uint64_t seq, std::string payload);
+  /// Run one request under a handler slot, or shed it past max_inflight.
+  Service::Outcome execute(std::string_view request);
 
   ServerOptions opts_;
   Service service_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  const std::size_t workers_;
+  std::counting_semaphore<> slots_;
+  std::atomic<std::int64_t> inflight_{0};  // waiting for or holding a slot
 
   UniqueFd listen_fd_;
   UniqueFd pipe_rd_, pipe_wr_;
   std::thread accept_thread_;
 
-  /// One finished response waiting for its in-order turn on the socket.
-  struct Ready {
-    std::string json;
-    bool shutdown = false;  // response to a `shutdown` op
-  };
-
-  struct Connection {
-    UniqueFd fd;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    std::atomic<bool> busy{false};  // requests of ours are on the pool
-    // Pipelining state. Pool workers deposit under resp_mutex and wake
-    // the reader via comp_wr; the reader drains in seq order. The
-    // reader never exits while responses are outstanding, so workers
-    // can hold the raw pointer safely.
-    UniqueFd comp_rd, comp_wr;
-    std::mutex resp_mutex;
-    std::map<std::uint64_t, Ready> ready;
-  };
   std::mutex conn_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 

@@ -402,8 +402,8 @@ Service::Outcome Service::handle(std::string_view request_json) {
   Outcome out;
   // Every request runs under its own cooperative deadline; hostile
   // content that drags decode or analysis into pathological territory
-  // is cut off and answered with a timeout error instead of wedging a
-  // pool worker forever.
+  // is cut off and answered with a timeout error instead of holding a
+  // handler slot forever.
   const util::ScopedDeadline guard(
       deadline_seconds_ > 0.0 ? util::Deadline::after_seconds(deadline_seconds_)
                               : util::Deadline());
@@ -868,8 +868,9 @@ std::string Service::stats_json() const {
     b.raw("overload", ov.close());
   }
   {
-    // The server mirrors its pool shape into these gauges; a Service
-    // used in-process (tests, bench warmup) reports zeros.
+    // The server mirrors its handler slots (workers) and the requests
+    // waiting for or holding one (queue_depth) into these gauges; a
+    // Service used in-process (tests, bench warmup) reports zeros.
     ObjBuilder pool;
     pool.integer("workers",
                  static_cast<std::uint64_t>(obs::gauge("svc.workers").value()));

@@ -2,9 +2,10 @@
 //
 // Service is the socket-independent middle: it takes one request's
 // JSON text, runs it against the content-addressed AnalysisCache, and
-// returns the response JSON. The Unix-domain Server feeds it from
-// connection threads via the work-stealing pool; the tests and the
-// load bench can also call handle() in-process.
+// returns the response JSON. The Unix-domain Server calls handle() on
+// each connection's own thread, at most `threads` calls at once across
+// connections; the tests and the load bench can also call it
+// in-process. handle() is safe to call concurrently.
 //
 // Containment contract (the daemon's survival property): handle()
 // never throws and never crashes the process on hostile input. Every

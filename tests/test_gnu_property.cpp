@@ -8,6 +8,7 @@
 #include "elf/gnu_property.hpp"
 #include "elf/reader.hpp"
 #include "synth/corpus.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace fsr::elf {
@@ -74,11 +75,15 @@ TEST(GnuProperty, AbsentNoteMeansNoTracking) {
 TEST(GnuProperty, RealBinaryNoteWhenAvailable) {
   if (std::system("gcc --version > /dev/null 2>&1") != 0)
     GTEST_SKIP() << "no gcc on this host";
-  std::ofstream("/tmp/fsr_prop.c") << "int main(){return 0;}";
-  if (std::system("gcc -fcf-protection=full -o /tmp/fsr_prop /tmp/fsr_prop.c "
-                  "> /dev/null 2>&1") != 0)
+  const test::TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::string src = dir.path + "/prop.c";
+  const std::string bin = dir.path + "/prop";
+  std::ofstream(src) << "int main(){return 0;}";
+  if (std::system(("gcc -fcf-protection=full -o " + bin + " " + src +
+                   " > /dev/null 2>&1").c_str()) != 0)
     GTEST_SKIP() << "gcc lacks -fcf-protection";
-  std::ifstream in("/tmp/fsr_prop", std::ios::binary);
+  std::ifstream in(bin, std::ios::binary);
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   const Image img = read_elf(bytes);

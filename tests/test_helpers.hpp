@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -45,5 +47,22 @@ inline void add_plt(elf::Image& img, std::uint64_t plt_addr,
   for (std::size_t i = 0; i < symbols.size(); ++i)
     img.plt.push_back({plt_addr + 16 * (i + 1), symbols[i]});
 }
+
+/// A fresh mkdtemp(3) directory, removed with its contents on scope
+/// exit, so test processes running side by side never share a file.
+/// `path` is empty when the directory could not be created.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/fsr-test-XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 }  // namespace fsr::test

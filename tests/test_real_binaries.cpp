@@ -14,6 +14,7 @@
 #include "elf/reader.hpp"
 #include "eval/truth.hpp"
 #include "funseeker/funseeker.hpp"
+#include "test_helpers.hpp"
 #include "x86/sweep.hpp"
 
 namespace fsr {
@@ -81,8 +82,13 @@ struct RealBinary {
 std::optional<RealBinary> build_real(const char* source, const std::string& compiler,
                                      const std::string& flags, const char* ext) {
   if (!command_ok(compiler + " --version")) return std::nullopt;
-  const std::string src = std::string("/tmp/fsr_real_test") + ext;
-  const std::string bin = "/tmp/fsr_real_test.bin";
+  const test::TempDir dir;
+  if (dir.path.empty()) {
+    ADD_FAILURE() << "mkdtemp failed";
+    return std::nullopt;
+  }
+  const std::string src = dir.path + "/prog" + ext;
+  const std::string bin = dir.path + "/prog.bin";
   {
     std::ofstream out(src);
     out << source;

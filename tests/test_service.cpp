@@ -4,14 +4,17 @@
 // the fault injector, malformed frames, and both shutdown paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -647,7 +650,7 @@ TEST(ServerRobustness, InflightCapShedsWithStructuredReject) {
   server.start();
 
   // Pin one slow request in flight: the build_image failpoint delays
-  // the (uncached) identify for 600ms on the single pool worker.
+  // the (uncached) identify for 600ms in the single handler slot.
   util::FailpointConfig cfg;
   cfg.name = "cache.build_image";
   cfg.mode = util::FailMode::kDelay;
@@ -680,6 +683,67 @@ TEST(ServerRobustness, InflightCapShedsWithStructuredReject) {
   const auto ok = fast.request("{\"op\":\"ping\"}");
   ASSERT_TRUE(ok.has_value());
   EXPECT_NE(ok->find("\"ok\":true"), std::string::npos);
+
+  util::clear_failpoints();
+  server.stop();
+  server.wait();
+}
+
+TEST(ServerThreads, OneThreadRunsOneRequestAtATime) {
+  // `threads` caps the requests executing at once over all
+  // connections: two uploads sent at the same moment on two
+  // connections, each held for kDelayMs by the build_image failpoint,
+  // must run one after the other.
+  util::clear_failpoints();
+  service::ServerOptions opts;
+  opts.socket_path = fresh_socket_path("threads");
+  opts.threads = 1;
+  service::Server server(std::move(opts));
+  server.start();
+
+  constexpr int kDelayMs = 300;
+  util::FailpointConfig cfg;
+  cfg.name = "cache.build_image";
+  cfg.mode = util::FailMode::kDelay;
+  cfg.arg = kDelayMs;
+  cfg.max_fires = 2;
+  util::set_failpoint(cfg);
+
+  synth::BinaryConfig other;
+  other.kind = elf::BinaryKind::kPie;
+  other.program_index = 1;
+  const std::vector<std::string> uploads = {
+      "{\"op\":\"identify\",\"elf\":\"" + service::b64_encode(sample_binary()) + "\"}",
+      "{\"op\":\"identify\",\"elf\":\"" +
+          service::b64_encode(synth::make_binary(other).stripped_bytes()) + "\"}",
+  };
+  service::Client clients[2];
+  for (service::Client& c : clients) ASSERT_TRUE(c.connect(server.socket_path()));
+
+  // The clock starts before either request is sent; neither can start
+  // executing earlier, so the later answer needs both delays in turn.
+  using Clock = std::chrono::steady_clock;
+  std::latch go(1);
+  Clock::time_point answered[2];
+  bool ok[2] = {false, false};
+  std::vector<std::thread> senders;
+  for (int i = 0; i < 2; ++i)
+    senders.emplace_back([&, i] {
+      go.wait();
+      const auto r = clients[i].request(uploads[i]);
+      answered[i] = Clock::now();
+      ok[i] = r.has_value() && r->find("\"ok\":true") != std::string::npos;
+    });
+  const Clock::time_point sent = Clock::now();
+  go.count_down();
+  for (std::thread& t : senders) t.join();
+
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+  const auto second_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::max(answered[0], answered[1]) - sent)
+                             .count();
+  EXPECT_GE(second_ms, 2 * kDelayMs);
 
   util::clear_failpoints();
   server.stop();
@@ -815,24 +879,24 @@ TEST(ServicePersistence, UnusablePcachePathDegradesToMemoryOnly) {
 // ------------------------------------------- pipelining (PR 10)
 
 TEST_F(ServiceIntegration, PipelinedResponsesArriveInRequestOrder) {
-  const auto bytes_a = sample_binary();
-  synth::BinaryConfig cfg_b;
-  cfg_b.kind = elf::BinaryKind::kPie;
-  cfg_b.program_index = 3;  // distinct content from bytes_a
-  const auto bytes_b = synth::make_binary(cfg_b).stripped_bytes();
-  const std::string key_a = service::content_id(bytes_a).to_string();
-  const std::string key_b = service::content_id(bytes_b).to_string();
+  // Every upload is followed at once by an identify by its key, all in
+  // one pipeline. The key only exists once the upload has run, so the
+  // answers prove in-order execution, not only in-order delivery.
+  constexpr int kBinaries = 16;
+  std::vector<std::string> keys;
+  std::vector<std::string> reqs = {"{\"op\":\"ping\"}"};
+  for (int i = 0; i < kBinaries; ++i) {
+    synth::BinaryConfig cfg;
+    cfg.kind = elf::BinaryKind::kPie;
+    cfg.program_index = i;
+    const auto bytes = synth::make_binary(cfg).stripped_bytes();
+    keys.push_back(service::content_id(bytes).to_string());
+    reqs.push_back("{\"op\":\"identify\",\"elf\":\"" + service::b64_encode(bytes) + "\"}");
+    reqs.push_back("{\"op\":\"identify\",\"key\":\"" + keys.back() + "\"}");
+  }
+  reqs.push_back("{\"op\":\"stats\"}");
+  ASSERT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(), keys.size());
 
-  // Interleave ops whose responses are distinguishable, all in flight
-  // at once; order of arrival must equal order of send.
-  const std::vector<std::string> reqs = {
-      "{\"op\":\"ping\"}",
-      "{\"op\":\"identify\",\"elf\":\"" + service::b64_encode(bytes_a) + "\"}",
-      "{\"op\":\"ping\"}",
-      "{\"op\":\"identify\",\"elf\":\"" + service::b64_encode(bytes_b) + "\"}",
-      "{\"op\":\"identify\",\"key\":\"" + key_a + "\"}",
-      "{\"op\":\"stats\"}",
-  };
   const auto resps = client_.call_pipelined(reqs);
   ASSERT_TRUE(resps.has_value()) << client_.last_error();
   ASSERT_EQ(resps->size(), reqs.size());
@@ -843,37 +907,53 @@ TEST_F(ServiceIntegration, PipelinedResponsesArriveInRequestOrder) {
     EXPECT_TRUE(p->get_bool("ok", false)) << r;
     parsed.push_back(std::move(*p));
   }
-  EXPECT_FALSE(parsed[0].get_string("version").empty());
-  EXPECT_EQ(parsed[1].get_string("key"), key_a);
-  EXPECT_FALSE(parsed[2].get_string("version").empty());
-  EXPECT_EQ(parsed[3].get_string("key"), key_b);
-  EXPECT_EQ(parsed[4].get_string("key"), key_a);
-  // Pipelined request 5 (identify by key) repeats request 1's content:
-  // same functions either way the scheduler interleaved them.
-  EXPECT_EQ(functions_text(parsed[4]), functions_text(parsed[1]));
-  EXPECT_NE(parsed[5].find("ops"), nullptr);
+  EXPECT_FALSE(parsed.front().get_string("version").empty());
+  for (int i = 0; i < kBinaries; ++i) {
+    const obs::JsonValue& upload = parsed[1 + 2 * i];
+    const obs::JsonValue& by_key = parsed[2 + 2 * i];
+    EXPECT_EQ(upload.get_string("key"), keys[i]) << "binary " << i;
+    EXPECT_EQ(by_key.get_string("key"), keys[i]) << "binary " << i;
+    EXPECT_EQ(by_key.get_string("cache"), "hit") << "binary " << i;
+    EXPECT_EQ(functions_text(by_key), functions_text(upload)) << "binary " << i;
+  }
+  EXPECT_NE(parsed.back().find("ops"), nullptr);
 }
 
 TEST(ServerPipelining, FlowControlCapStillAnswersEverything) {
   service::ServerOptions opts;
   opts.socket_path = fresh_socket_path("pipecap");
   opts.threads = 2;
-  opts.max_pipeline = 2;  // reader stops pulling past 2 in flight
   service::Server server(std::move(opts));
   server.start();
 
   service::Client client;
   ASSERT_TRUE(client.connect(server.socket_path()));
+  const auto up = client.request("{\"op\":\"identify\",\"elf\":\"" +
+                                 service::b64_encode(sample_binary()) + "\"}");
+  ASSERT_TRUE(up.has_value()) << client.last_error();
+  const auto uploaded = obs::json_parse(*up);
+  ASSERT_TRUE(uploaded.has_value());
+  const std::string key = uploaded->get_string("key");
+  ASSERT_FALSE(key.empty()) << *up;
+
+  // A 64-frame burst whose answers differ by size, so each answer
+  // names its request; together they are far larger than one socket
+  // buffer, so the server must flush mid-burst and still keep order.
   constexpr int kBurst = 64;
   for (int i = 0; i < kBurst; ++i)
-    ASSERT_TRUE(client.pipeline_send("{\"op\":\"ping\"}"));
+    ASSERT_TRUE(client.pipeline_send("{\"op\":\"disasm\",\"key\":\"" + key +
+                                     "\",\"count\":" + std::to_string(8 * (i + 1)) + "}"));
+  std::size_t answered_bytes = 0;
   for (int i = 0; i < kBurst; ++i) {
     const auto r = client.pipeline_recv();
     ASSERT_TRUE(r.has_value()) << "response " << i << ": " << client.last_error();
+    answered_bytes += r->size();
     const auto parsed = obs::json_parse(*r);
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_TRUE(parsed->get_bool("ok", false));
+    EXPECT_TRUE(parsed->get_bool("ok", false)) << *r;
+    EXPECT_EQ(parsed->get_number("count", 0), 8.0 * (i + 1)) << "response " << i;
   }
+  EXPECT_GT(answered_bytes, std::size_t{1} << 20);
   server.stop();
   server.wait();
 }

@@ -46,14 +46,14 @@ namespace {
   std::fprintf(rc == 0 ? stdout : stderr,
                "usage: fsrd --socket PATH [options]\n"
                "  --socket PATH        Unix-domain socket to listen on (required)\n"
-               "  --threads N          analysis pool workers (default: REPRO_THREADS or cores)\n"
+               "  --threads N          requests executing at once, daemon-wide (default: REPRO_THREADS or cores)\n"
                "  --cache-mb N         analysis cache budget in MiB (default: REPRO_CACHE_MB or 768)\n"
                "  --pcache-path PATH   persistent cache segment file (survives restarts; off by default)\n"
                "  --pcache-mb N        persistent cache budget in MiB (default: 256)\n"
                "  --time-budget SEC    per-request deadline (default: REPRO_TIME_BUDGET or unlimited)\n"
                "  --slow-ms N          dump a slow-request event past N milliseconds (default: 0 = off;\n"
                "                       deadline-expired requests always dump)\n"
-               "  --max-inflight N     shed requests past N on the pool (default: 128; 0 = unlimited)\n"
+               "  --max-inflight N     shed past N requests running or waiting to run (default: 128; 0 = unlimited)\n"
                "  --max-connections N  shed connections past N (default: 256; 0 = unlimited)\n"
                "  --write-timeout SEC  drop clients that stall writes this long (default: 30; 0 = never)\n"
                "  --pid-file PATH      write the serving pid after startup (rewritten per restart)\n"
@@ -186,7 +186,7 @@ int run_daemon(int argc, char** argv, int restart_count,
     std::fprintf(stderr, "fsrd %s (%s) pid %ld\n", util::kVersion,
                  util::kProjectName, static_cast<long>(::getpid()));
     std::fprintf(stderr, "fsrd: listening on %s\n", server.socket_path().c_str());
-    std::fprintf(stderr, "fsrd: %zu pool workers, %zu MiB analysis cache\n",
+    std::fprintf(stderr, "fsrd: %zu handler threads, %zu MiB analysis cache\n",
                  server.workers(), cache_mb);
     if (!pcache_path.empty())
       std::fprintf(stderr, "fsrd: persistent cache %s\n", pcache_path.c_str());
